@@ -6,8 +6,9 @@ let run ctx ~n ~a ~b =
   let da = create a in
   let db = create b in
   let dc = create (fun _ -> 0.0) in
-  Skeletons.gen_mult ctx ~cost:Calibration.float_madd_op ~add:( +. )
-    ~mul:( *. ) da db dc;
+  Skeletons.gen_mult ctx ~cost:Calibration.float_madd_op
+    ~block:(Skeletons.generic_block ~add:( +. ) ~mul:( *. ))
+    da db dc;
   Skeletons.destroy ctx da;
   Skeletons.destroy ctx db;
   dc

@@ -24,8 +24,9 @@ let run ctx ~n ~weight =
   in
   for _ = 1 to log2_ceil n do
     Skeletons.copy ctx a b;
-    Skeletons.gen_mult ctx ~cost:Calibration.minplus_op ~add:min
-      ~mul:saturating_add a b c;
+    Skeletons.gen_mult ctx ~cost:Calibration.minplus_op
+      ~block:(Skeletons.generic_block ~add:min ~mul:saturating_add)
+      a b c;
     Skeletons.copy ctx c a
   done;
   Skeletons.destroy ctx b;

@@ -313,8 +313,24 @@ let permute_rows ctx (src : 'a Darray.t) perm (dst : 'a Darray.t) =
 (* ------------------------------------------------------------------ *)
 (* gen_mult — Gentleman's algorithm on the torus                       *)
 
-let gen_mult ctx ?(cost = default_elem_cost) ~add ~mul (a : 'a Darray.t)
-    (b : 'a Darray.t) (c : 'a Darray.t) =
+type 'a block = bs:int -> 'a array -> 'a array -> 'a array -> unit
+
+(* The reference local block product: c <- c (+) a (x) b in i-k-j order,
+   one closure call each for [add] and [mul].  Monomorphic kernels must
+   reproduce it exactly (see the contract in the interface). *)
+let generic_block ~add ~mul ~bs ad bd cdata =
+  for i = 0 to bs - 1 do
+    for k = 0 to bs - 1 do
+      let aik = ad.((i * bs) + k) in
+      for j = 0 to bs - 1 do
+        let off = (i * bs) + j in
+        cdata.(off) <- add cdata.(off) (mul aik bd.((k * bs) + j))
+      done
+    done
+  done
+
+let gen_mult ctx ?(cost = default_elem_cost) ~(block : 'a block)
+    (a : 'a Darray.t) (b : 'a Darray.t) (c : 'a Darray.t) =
   check_same_layout "array_gen_mult" a b;
   check_same_layout "array_gen_mult" a c;
   if a.Darray.id = b.Darray.id || a.Darray.id = c.Darray.id
@@ -370,16 +386,7 @@ let gen_mult ctx ?(cost = default_elem_cost) ~add ~mul (a : 'a Darray.t)
     (* each block multiplication is one crash-protected region: the rotating
        a/b blocks are fixed within it, and only [cdata] is mutated *)
     protect_part ctx c cpart @@ fun () ->
-    let ad = !ablock and bd = !bblock in
-    for i = 0 to bs - 1 do
-      for k = 0 to bs - 1 do
-        let aik = ad.((i * bs) + k) in
-        for j = 0 to bs - 1 do
-          let off = (i * bs) + j in
-          cdata.(off) <- add cdata.(off) (mul aik bd.((k * bs) + j))
-        done
-      done
-    done;
+    block ~bs !ablock !bblock cdata;
     Machine.charge ctx Cost_model.Kernel ~ops:(bs * bs * bs) ~base:cost
   in
   for step = 1 to q do

@@ -132,17 +132,41 @@ val permute_rows :
     @raise Invalid_argument (the paper's run-time error) if [perm_f] is not
     a bijection on the row numbers. *)
 
+type 'a block = bs:int -> 'a array -> 'a array -> 'a array -> unit
+(** A local block product [block ~bs a b c]: [a], [b] and [c] are row-major
+    [bs] x [bs] blocks, and the product of [a] and [b] is accumulated into
+    [c] in place.
+
+    Contract, for every implementation: the result must equal
+    {!generic_block}'s bit for bit.  That fixes two things a kernel may not
+    change:
+    - loop order: [i], then [k], then [j], each ascending, so each [c]
+      element receives its [bs] contributions in ascending [k] (float
+      addition is not associative, so another order changes the sum);
+    - operand order: each step is [c.(i*bs+j) <- add c.(i*bs+j)
+      (mul a.(i*bs+k) b.(k*bs+j))] — the running [c] is [add]'s left
+      operand, the [a] element is [mul]'s left operand (an operator need
+      not be commutative: [min]/[max] answer their left operand on a tie,
+      and -0.0 vs 0.0 or two NaNs with different bits tie).
+    A kernel reads [a] and [b] and writes only [c]. *)
+
+val generic_block : add:('a -> 'a -> 'a) -> mul:('a -> 'a -> 'a) -> 'a block
+(** The reference block product: the contract's loop, with one call of
+    [add] and one of [mul] per multiply-add.  Any element type and any
+    functions; monomorphic kernels for known operators must match it. *)
+
 val gen_mult :
   ctx ->
   ?cost:float ->
-  add:('a -> 'a -> 'a) ->
-  mul:('a -> 'a -> 'a) ->
+  block:'a block ->
   'a Darray.t ->
   'a Darray.t ->
   'a Darray.t ->
   unit
-(** [array_gen_mult a b ~add ~mul c]: Gentleman's distributed matrix
-    multiplication generalized over [add]/[mul]; partial products are
+(** [array_gen_mult a b add mul c]: Gentleman's distributed matrix
+    multiplication generalized over [add]/[mul], whose local block product
+    is [block] ([generic_block ~add ~mul], or a kernel that obeys the
+    {!block} contract for the same operators); partial products are
     accumulated into the existing contents of [c] (the paper's shortest-paths
     program relies on this by pre-initializing [c] with the neutral
     element).  Communication/computation overlap: partition rotations are

@@ -362,75 +362,10 @@ let elem_fn1 prog st fv ~unbox =
           frame.(na) <- VIndex (if ix_safe then ix else Array.copy ix);
           unbox (fn.c_run st frame))
 
-(* Binary combining functions (fold merge, gen_mult add/mul) at unboxed
-   int/float.  Operator sections and min/max keep the generic semantics
-   exactly (same division-by-zero messages, same tie-breaking: min/max
-   answer the LEFT operand on equality). *)
-let int_binop prog st fv : (int -> int -> int) option =
-  match fv with
-  | VFun { fv_target = `Op op; fv_applied = [] } -> (
-      match op with
-      | "+" -> Some ( + )
-      | "-" -> Some ( - )
-      | "*" -> Some ( * )
-      | "/" ->
-          Some (fun a b -> if b = 0 then rte "division by zero" else a / b)
-      | "%" ->
-          Some (fun a b -> if b = 0 then rte "modulo by zero" else a mod b)
-      | _ -> None)
-  | VFun { fv_target = `Builtin "min"; fv_applied = [] } ->
-      Some (fun a b -> if a <= b then a else b)
-  | VFun { fv_target = `Builtin "max"; fv_applied = [] } ->
-      Some (fun a b -> if a >= b then a else b)
-  | _ -> (
-      match user_target prog fv ~extra:2 with
-      | None -> None
-      | Some (fn, appl) ->
-          let na = Array.length appl in
-          let size = fn.c_size in
-          Some
-            (fun a b ->
-              let frame = Array.make size VUnit in
-              for i = 0 to na - 1 do
-                frame.(i) <- Value.copy appl.(i)
-              done;
-              frame.(na) <- VInt a;
-              frame.(na + 1) <- VInt b;
-              as_int (fn.c_run st frame)))
-
-let float_binop prog st fv : (float -> float -> float) option =
-  match fv with
-  | VFun { fv_target = `Op op; fv_applied = [] } -> (
-      match op with
-      | "+" -> Some ( +. )
-      | "-" -> Some ( -. )
-      | "*" -> Some ( *. )
-      | "/" -> Some ( /. )
-      | _ -> None)
-  | VFun { fv_target = `Builtin "min"; fv_applied = [] } ->
-      Some (fun a b -> if Float.compare a b <= 0 then a else b)
-  | VFun { fv_target = `Builtin "max"; fv_applied = [] } ->
-      Some (fun a b -> if Float.compare a b >= 0 then a else b)
-  | _ -> (
-      match user_target prog fv ~extra:2 with
-      | None -> None
-      | Some (fn, appl) ->
-          let na = Array.length appl in
-          let size = fn.c_size in
-          Some
-            (fun a b ->
-              let frame = Array.make size VUnit in
-              for i = 0 to na - 1 do
-                frame.(i) <- Value.copy appl.(i)
-              done;
-              frame.(na) <- VFloat a;
-              frame.(na + 1) <- VFloat b;
-              as_float (fn.c_run st frame)))
-
-(* Value-level binary combining function: still boxed, but skips the
-   currying machinery (used for struct-accumulator fold merges and
-   generic-payload gen_mult). *)
-let value_fn2 prog st fv =
+(* A user function saturated by two more arguments as a binary combining
+   function on a direct frame; [box]/[unbox] convert at the boundary (fresh
+   scalar boxes, or [Value.copy] as [c_invoke] copies each argument). *)
+let user_fn2 prog st fv ~box ~unbox =
   match user_target prog fv ~extra:2 with
   | None -> None
   | Some (fn, appl) ->
@@ -442,18 +377,50 @@ let value_fn2 prog st fv =
           for i = 0 to na - 1 do
             frame.(i) <- Value.copy appl.(i)
           done;
-          frame.(na) <- Value.copy a;
-          frame.(na + 1) <- Value.copy b;
-          fn.c_run st frame)
+          frame.(na) <- box a;
+          frame.(na + 1) <- box b;
+          unbox (fn.c_run st frame))
 
+(* Binary combining functions (fold merge, gen_mult add/mul) at unboxed
+   int/float.  Operator sections and min/max are classified by {!Binop},
+   which keeps the generic semantics exactly (same division-by-zero
+   messages, same tie-breaking: min/max answer the LEFT operand on
+   equality). *)
+let int_binop prog st fv : (int -> int -> int) option =
+  match Binop.of_value fv with
+  | Some op -> Some (Binop.int op)
+  | None -> user_fn2 prog st fv ~box:box_i ~unbox:as_int
+
+let float_binop prog st fv : (float -> float -> float) option =
+  match Binop.of_value fv with
+  | Some op -> Binop.float op
+  | None -> user_fn2 prog st fv ~box:box_f ~unbox:as_float
+
+(* Value-level binary combining function: still boxed, but skips the
+   currying machinery (used for struct-accumulator fold merges and
+   generic-payload gen_mult). *)
 let value_binop prog st fv : (Value.t -> Value.t -> Value.t) option =
   match fv with
   | VFun { fv_target = `Op op; fv_applied = [] } -> Some (op_fn op)
-  | VFun { fv_target = `Builtin "min"; fv_applied = [] } ->
-      Some (fun a b -> if Interp.compare_values a b <= 0 then a else b)
-  | VFun { fv_target = `Builtin "max"; fv_applied = [] } ->
-      Some (fun a b -> if Interp.compare_values a b >= 0 then a else b)
-  | _ -> value_fn2 prog st fv
+  | VFun { fv_target = `Builtin ("min" | "max" as name); fv_applied = [] } ->
+      scalar_builtin_2 name
+  | _ -> user_fn2 prog st fv ~box:Value.copy ~unbox:Fun.id
+
+(* The local block product of array_gen_mult: the monomorphic kernel
+   [kernel] offers when both arguments are operators it covers, else the
+   generic loop over the combining closures [binop] builds; None sends the
+   caller to the generic dispatcher. *)
+let gen_mult_block ~kernel ~binop add mul =
+  let k =
+    match (Binop.of_value add, Binop.of_value mul) with
+    | Some add, Some mul -> kernel ~add ~mul
+    | _ -> None
+  in
+  if Option.is_some k then k
+  else
+    match (binop add, binop mul) with
+    | Some add, Some mul -> Some (Skeletons.generic_block ~add ~mul)
+    | _ -> None
 
 (* Compile-time interception of a saturated skeleton call.  Returns a
    handler over the already-evaluated arguments (the call-site wrapper
@@ -635,30 +602,33 @@ let specialize_skeleton prog (h : Ast.expr) name :
         (fun st argv ->
           match argv with
           | [ VDarray a; VDarray b; add; mul; VDarray c ] -> (
+              let run :
+                  'e. 'e Skeletons.block option -> 'e Darray.t ->
+                  'e Darray.t -> 'e Darray.t -> Value.t =
+               fun block a b c ->
+                match block with
+                | Some block ->
+                    Skeletons.gen_mult (Interp.ctx_of st) ~block a b c;
+                    VUnit
+                | None -> generic st argv
+              in
               match (a, b, c) with
-              | DInt a, DInt b, DInt c -> (
-                  match (int_binop prog st add, int_binop prog st mul) with
-                  | Some fa, Some fm ->
-                      Skeletons.gen_mult (Interp.ctx_of st) ~add:fa ~mul:fm a
-                        b c;
-                      VUnit
-                  | _ -> generic st argv)
-              | DFloat a, DFloat b, DFloat c -> (
-                  match (float_binop prog st add, float_binop prog st mul)
-                  with
-                  | Some fa, Some fm ->
-                      Skeletons.gen_mult (Interp.ctx_of st) ~add:fa ~mul:fm a
-                        b c;
-                      VUnit
-                  | _ -> generic st argv)
-              | DGen a, DGen b, DGen c -> (
-                  match (value_binop prog st add, value_binop prog st mul)
-                  with
-                  | Some fa, Some fm ->
-                      Skeletons.gen_mult (Interp.ctx_of st) ~add:fa ~mul:fm a
-                        b c;
-                      VUnit
-                  | _ -> generic st argv)
+              | DInt a, DInt b, DInt c ->
+                  run
+                    (gen_mult_block ~kernel:Binop.int_block
+                       ~binop:(int_binop prog st) add mul)
+                    a b c
+              | DFloat a, DFloat b, DFloat c ->
+                  run
+                    (gen_mult_block ~kernel:Binop.float_block
+                       ~binop:(float_binop prog st) add mul)
+                    a b c
+              | DGen a, DGen b, DGen c ->
+                  run
+                    (gen_mult_block
+                       ~kernel:(fun ~add:_ ~mul:_ -> None)
+                       ~binop:(value_binop prog st) add mul)
+                    a b c
               | _ -> generic st argv)
           | argv -> generic st argv)
   (* array_get_elem / array_put_elem / array_part_bounds are intercepted

@@ -28,7 +28,9 @@ val program : tyenv:Typecheck.env -> ?specialize:bool -> Ast.program -> t
     distributed arrays are stored as flat unboxed [int array]/[float array]
     partitions and their argument functions run as unboxed closures — the
     paper's "translation by instantiation" applied to the data plane.
-    Struct/pointer payloads and curried skeleton applications fall back to
+    An [array_gen_mult] whose operator arguments have a {!Binop} block
+    kernel ((min, +) and (+, * ) at int and float) runs that first-order
+    loop instead of calling them per multiply-add.  Struct/pointer payloads and curried skeleton applications fall back to
     the generic boxed path.  Either way the observable behaviour (output,
     values, makespans, Stats, traces) is bit-identical. *)
 

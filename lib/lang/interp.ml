@@ -222,15 +222,18 @@ let permute_arrays ctx src p dst =
 let gen_mult_arrays ctx ~apply add mul a b c =
   let fadd x y = apply add [ x; y ] in
   let fmul x y = apply mul [ x; y ] in
+  let gen_mult ~add ~mul =
+    Skeletons.gen_mult ctx ~block:(Skeletons.generic_block ~add ~mul)
+  in
   match (a, b, c) with
-  | DGen a, DGen b, DGen c -> Skeletons.gen_mult ctx ~add:fadd ~mul:fmul a b c
+  | DGen a, DGen b, DGen c -> gen_mult ~add:fadd ~mul:fmul a b c
   | DInt a, DInt b, DInt c ->
-      Skeletons.gen_mult ctx
+      gen_mult
         ~add:(fun x y -> as_int (fadd (VInt x) (VInt y)))
         ~mul:(fun x y -> as_int (fmul (VInt x) (VInt y)))
         a b c
   | DFloat a, DFloat b, DFloat c ->
-      Skeletons.gen_mult ctx
+      gen_mult
         ~add:(fun x y -> as_float (fadd (VFloat x) (VFloat y)))
         ~mul:(fun x y -> as_float (fmul (VFloat x) (VFloat y)))
         a b c

@@ -62,7 +62,7 @@ let rec skip_ws st =
   | _ -> ()
 
 let lex_number st =
-  let start = st.pos in
+  let start = st.pos and line = st.line and col = st.col in
   while (match peek st with Some c -> is_digit c | None -> false) do
     advance st
   done;
@@ -84,10 +84,20 @@ let lex_number st =
          while (match peek st with Some c -> is_digit c | None -> false) do
            advance st
          done
-     | _ -> ());
-    Token.FLOAT (float_of_string (String.sub st.src start (st.pos - start)))
-  end
-  else Token.INT (int_of_string (String.sub st.src start (st.pos - start)))
+     | _ -> ())
+  end;
+  (* a literal the host cannot represent is a lexical error at its first
+     character, not an escaping conversion failure *)
+  let text = String.sub st.src start (st.pos - start) in
+  let bad message = raise (Error { line; col; message }) in
+  if is_float then
+    match float_of_string_opt text with
+    | Some x -> Token.FLOAT x
+    | None -> bad (Printf.sprintf "malformed float literal %s" text)
+  else
+    match int_of_string_opt text with
+    | Some n -> Token.INT n
+    | None -> bad (Printf.sprintf "integer literal %s out of range" text)
 
 let lex_ident st =
   let start = st.pos in

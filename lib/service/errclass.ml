@@ -10,7 +10,7 @@ type t =
   | Syntax (* lexer/parser diagnostics *)
   | Type_err (* Typecheck.Type_error *)
   | Inst_err (* Instantiate.Unsupported *)
-  | Runtime (* Value.Skil_runtime_error *)
+  | Runtime (* Value.Skil_runtime_error, Darray.Local_access_violation *)
   | Stall (* Machine.Stalled: deadlock or starvation *)
   | Deadline (* service: wall-clock deadline exceeded, job reaped *)
   | Overload (* service: admission queue full, job shed *)
@@ -95,6 +95,13 @@ let of_exn ?file e =
   | Instantiate.Unsupported { line; message } ->
       Some (Inst_err, Printf.sprintf "%s: not instantiable: %s" (where line 0) message)
   | Value.Skil_runtime_error m -> Some (Runtime, "runtime error: " ^ m)
+  | Darray.Local_access_violation { rank; index } ->
+      Some
+        ( Runtime,
+          Format.asprintf
+            "runtime error: processor %d accessed index %a, which is not in \
+             its partition"
+            rank Index.pp index )
   | Machine.Stalled blocked -> Some (Stall, Machine.stall_diagnostic blocked)
   | Invalid_argument m -> Some (Invalid, "error: " ^ m)
   | Sys_error m -> Some (Io, m)

@@ -126,6 +126,59 @@ let test_cost_profiles_equivalence () =
         ("gauss " ^ profile.Cost_model.profile_name))
     [ Cost_model.parix_c; Cost_model.dpfl ]
 
+(* array_gen_mult whose operator arguments are user functions has no
+   monomorphic block kernel: the compiled engine falls back to the generic
+   block loop over the user function, and must stay identical to the
+   interpreter (values, makespan, Stats, trace) — at int and at float, and
+   next to a kernel-eligible call in the same program. *)
+let user_op_gen_mult_src =
+  {|
+int init_i(Index ix) { return (ix[0] * 7 + ix[1] * 13) % 9; }
+int inf_elem(Index ix) { return int_max; }
+float init_f(Index ix) { return itof((ix[0] * 3 + ix[1]) % 5) / 2.0; }
+float zero_f(Index ix) { return 0.0; }
+int plus(int a, int b) { return a + b; }
+float fplus(float a, float b) { return a + b; }
+
+void main(int n) {
+  array<int> a;
+  array<int> b;
+  array<int> c;
+  array<float> fa;
+  array<float> fb;
+  array<float> fc;
+  a = array_create(2, {n,n}, {0,0}, {-1,-1}, init_i, DISTR_TORUS2D);
+  b = array_create(2, {n,n}, {0,0}, {-1,-1}, init_i, DISTR_TORUS2D);
+  c = array_create(2, {n,n}, {0,0}, {-1,-1}, inf_elem, DISTR_TORUS2D);
+  array_gen_mult(a, b, min, plus, c);
+  array_gen_mult(a, b, min, (+), c);
+  fa = array_create(2, {n,n}, {0,0}, {-1,-1}, init_f, DISTR_TORUS2D);
+  fb = array_create(2, {n,n}, {0,0}, {-1,-1}, init_f, DISTR_TORUS2D);
+  fc = array_create(2, {n,n}, {0,0}, {-1,-1}, zero_f, DISTR_TORUS2D);
+  array_gen_mult(fa, fb, fplus, (*), fc);
+  if (procId == 0) {
+    for (int j = 0; j < n / 2; j++) {
+      print_int(array_get_elem(c, {0, j}));
+      print_string(" ");
+      print_float(array_get_elem(fc, {0, j}));
+      print_string(" ");
+    }
+  }
+  array_destroy(a);
+  array_destroy(b);
+  array_destroy(c);
+  array_destroy(fa);
+  array_destroy(fb);
+  array_destroy(fc);
+}
+|}
+
+let test_user_op_gen_mult_falls_back () =
+  run_both
+    ~topology:(Topology.torus2d ~width:2 ~height:2 ())
+    user_op_gen_mult_src ~entry:"main" ~args:[ Value.VInt 16 ]
+    "gen_mult with user-defined operators"
+
 (* ---------------- satellite regressions ---------------- *)
 
 let test_pointer_comparison_semantics () =
@@ -207,6 +260,8 @@ let suite =
           test_corpus_is_exhaustive;
         Alcotest.test_case "cost profiles both engines" `Quick
           test_cost_profiles_equivalence;
+        Alcotest.test_case "gen_mult with user operators falls back" `Quick
+          test_user_op_gen_mult_falls_back;
         Alcotest.test_case "pointer comparison" `Quick
           test_pointer_comparison_semantics;
         Alcotest.test_case "over-application" `Quick test_over_application;

@@ -57,6 +57,33 @@ let test_lexer_errors () =
   Alcotest.(check bool) "preprocessor lines skipped" true
     (toks "#include <x.h>\n1" = [ Token.INT 1; Token.EOF ])
 
+(* A literal the host cannot represent is a syntax-class diagnostic with
+   its position, as skilc and skild render it — never an escaping
+   Failure from the conversion. *)
+let test_lexer_unrepresentable_literals () =
+  let diagnose src =
+    match Typecheck.check (Parser.parse src) with
+    | _ -> Alcotest.failf "accepted %S" src
+    | exception e -> (
+        match Errclass.of_exn ~file:"lit.skil" e with
+        | Some (cls, msg) -> (Errclass.name cls, msg)
+        | None -> Alcotest.failf "unclassified: %s" (Printexc.to_string e))
+  in
+  let check src want =
+    Alcotest.(check (pair string string)) src ("syntax", want) (diagnose src)
+  in
+  check "float main() {\n  return 0.e;\n}\n"
+    "lit.skil:2:10: lexical error: malformed float literal 0.e";
+  check "float main() { return 1.5e; }\n"
+    "lit.skil:1:23: lexical error: malformed float literal 1.5e";
+  check "int main() { return 1e; }\n"
+    "lit.skil:1:22: syntax error: expected ;, found e";
+  check "int main() { return 99999999999999999999999; }\n"
+    "lit.skil:1:21: lexical error: integer literal 99999999999999999999999 \
+     out of range";
+  Alcotest.(check bool) "max_int still lexes" true
+    (toks (string_of_int max_int) = [ Token.INT max_int; Token.EOF ])
+
 (* ---------------- parser ---------------- *)
 
 let test_parser_precedence () =
@@ -905,6 +932,8 @@ let suite =
         Alcotest.test_case "comments" `Quick test_lexer_comments;
         Alcotest.test_case "strings/chars" `Quick test_lexer_strings_chars;
         Alcotest.test_case "errors" `Quick test_lexer_errors;
+        Alcotest.test_case "unrepresentable literals" `Quick
+          test_lexer_unrepresentable_literals;
       ] );
     ( "lang parser",
       [

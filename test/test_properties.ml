@@ -263,7 +263,8 @@ let prop_gen_mult_reference (q, n, seed) =
         let a = mk av in
         let b = mk bv in
         let c = mk (fun _ -> 0) in
-        Skeletons.gen_mult ctx ~add:( + ) ~mul:( * ) a b c;
+        Skeletons.gen_mult ctx
+          ~block:(Skeletons.generic_block ~add:( + ) ~mul:( * )) a b c;
         c)
   in
   let flat = Darray.to_flat r.Machine.values.(0) in

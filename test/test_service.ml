@@ -216,6 +216,45 @@ let test_stall_classified () =
         h par_src;
       ignore (expect_err h Errclass.Stall))
 
+(* Reading an element another processor owns is the program's error: the
+   skilc door (Errclass over the run's exception, exit code 6) and the
+   skild door (class=runtime) both classify it, naming rank and index. *)
+let nonlocal_src =
+  "int init(Index ix) { return ix[0]; }\n\
+   int main() {\n\
+  \  array<int> a;\n\
+  \  a = array_create(1, {8}, {0}, {-1}, init, DISTR_DEFAULT);\n\
+  \  int v = array_get_elem(a, {0});\n\
+  \  array_destroy(a);\n\
+  \  return v;\n\
+   }\n"
+
+let test_nonlocal_access_classified () =
+  let spec =
+    { Jobspec.default with Jobspec.id = "nl"; width = 2; height = 1 }
+  in
+  let want =
+    "runtime error: processor 1 accessed index {0}, which is not in its \
+     partition"
+  in
+  (match direct_run spec nonlocal_src with
+   | _ -> Alcotest.fail "non-local read succeeded"
+   | exception e -> (
+       match Errclass.of_exn e with
+       | Some (cls, msg) ->
+           Alcotest.(check int) "skilc exit code" 6 (Errclass.code cls);
+           Alcotest.(check string) "skilc diagnostic" want msg
+       | None -> Alcotest.failf "unclassified: %s" (Printexc.to_string e)));
+  let h = harness () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown h.svc)
+    (fun () ->
+      submit ~spec h nonlocal_src;
+      let _, msg = expect_err h Errclass.Runtime in
+      Alcotest.(check string) "skild diagnostic" want msg;
+      submit ~spec:{ Jobspec.default with Jobspec.id = "ok" } h par_src;
+      ignore (expect_ok h))
+
 let test_deadline_expiry_then_liveness () =
   let h = harness () in
   Fun.protect
@@ -424,6 +463,8 @@ let suite =
           test_error_classes_and_diagnostics;
         Alcotest.test_case "total message loss classified as stall" `Quick
           test_stall_classified;
+        Alcotest.test_case "non-local access is a runtime error" `Quick
+          test_nonlocal_access_classified;
         Alcotest.test_case "deadline expiry, then the service lives on" `Quick
           test_deadline_expiry_then_liveness;
         Alcotest.test_case "queue-full shedding, every job answered once"

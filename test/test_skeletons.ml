@@ -258,7 +258,8 @@ let test_gen_mult_classical () =
               Skeletons.create ctx ~gsize:[| n; n |] ~distr:Darray.Torus2d
                 (fun _ -> 0)
             in
-            Skeletons.gen_mult ctx ~add:( + ) ~mul:( * ) a b c;
+            Skeletons.gen_mult ctx
+              ~block:(Skeletons.generic_block ~add:( + ) ~mul:( * )) a b c;
             c)
       in
       Alcotest.(check (array int))
@@ -282,7 +283,8 @@ let test_gen_mult_preserves_inputs () =
           Skeletons.create ctx ~gsize:[| n; n |] ~distr:Darray.Torus2d
             (fun _ -> 0)
         in
-        Skeletons.gen_mult ctx ~add:( + ) ~mul:( * ) a b c;
+        Skeletons.gen_mult ctx
+          ~block:(Skeletons.generic_block ~add:( + ) ~mul:( * )) a b c;
         a)
   in
   Alcotest.(check (array int))
@@ -316,7 +318,8 @@ let test_gen_mult_minplus_accumulates () =
           Skeletons.create ctx ~gsize:[| n; n |] ~distr:Darray.Torus2d
             (fun _ -> inf)
         in
-        Skeletons.gen_mult ctx ~add:min ~mul:( + ) a b c;
+        Skeletons.gen_mult ctx
+          ~block:(Skeletons.generic_block ~add:min ~mul:( + )) a b c;
         c)
   in
   Alcotest.(check (array int)) "min-plus square" reference flat
@@ -333,7 +336,8 @@ let test_gen_mult_rejects_aliasing () =
             (fun _ -> 0)
         in
         try
-          Skeletons.gen_mult ctx ~add:( + ) ~mul:( * ) a a c;
+          Skeletons.gen_mult ctx
+            ~block:(Skeletons.generic_block ~add:( + ) ~mul:( * )) a a c;
           false
         with Invalid_argument _ -> true)
   in
@@ -349,7 +353,8 @@ let test_gen_mult_requires_square_grid () =
         let b = mk (fun _ -> 1) in
         let c = mk (fun _ -> 0) in
         try
-          Skeletons.gen_mult ctx ~add:( + ) ~mul:( * ) a b c;
+          Skeletons.gen_mult ctx
+            ~block:(Skeletons.generic_block ~add:( + ) ~mul:( * )) a b c;
           false
         with Invalid_argument _ -> true)
   in
@@ -365,7 +370,8 @@ let test_gen_mult_requires_dividing_side () =
         let b = mk (fun _ -> 1) in
         let c = mk (fun _ -> 0) in
         try
-          Skeletons.gen_mult ctx ~add:( + ) ~mul:( * ) a b c;
+          Skeletons.gen_mult ctx
+            ~block:(Skeletons.generic_block ~add:( + ) ~mul:( * )) a b c;
           false
         with Invalid_argument _ -> true)
   in

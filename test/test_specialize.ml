@@ -107,11 +107,93 @@ let prop_specialisation_unobservable src =
   let n = observe src ~engine:`Compiled ~specialize:false in
   a = s && a = n
 
+(* Property: every monomorphic gen_mult block kernel equals
+   Skeletons.generic_block over the same operators' scalar closures, bit
+   for bit (floats compared by their IEEE bits), on blocks of side 1-12
+   with a non-zero starting [c] and edge values in every operand: NaN,
+   signed zeros and infinities for floats, int_max and the host's integer
+   extremes for ints.  The operator pairs are enumerated, so a kernel added
+   to Binop is covered without touching this test. *)
+
+let ops = Binop.[ Add; Sub; Mul; Div; Mod; Min; Max ]
+
+let int_max = max_int / 4 (* the Skil builtin int_max *)
+
+let int_elem =
+  frequency
+    [
+      (1, oneofl [ int_max; max_int; min_int; 0; 1; -1 ]);
+      (4, int_range (-1000) 1000);
+      (1, int);
+    ]
+
+let float_elem =
+  frequency
+    [
+      ( 1,
+        oneofl
+          [ Float.nan; Float.neg Float.nan; 0.0; -0.0; Float.infinity;
+            Float.neg_infinity; Float.max_float; Float.min_float ] );
+      (4, float_range (-100.0) 100.0);
+      (1, float);
+    ]
+
+(* side, a, b and the starting c of one block product *)
+let gen_blocks elem =
+  int_range 1 12 >>= fun bs ->
+  let block = array_size (pure (bs * bs)) elem in
+  triple block block block >|= fun (a, b, c) -> (bs, a, b, c)
+
+let print_blocks show (bs, a, b, c) =
+  let arr x = String.concat " " (Array.to_list (Array.map show x)) in
+  Printf.sprintf "bs=%d\na=[%s]\nb=[%s]\nc=[%s]" bs (arr a) (arr b) (arr c)
+
+(* For every (add, mul) with a kernel, [same] compares the kernel's [c]
+   with the generic loop's, and [a]/[b] must come out untouched. *)
+let kernels_match ~kernel ~scalar ~same (bs, a, b, c) =
+  List.for_all
+    (fun add ->
+      List.for_all
+        (fun mul ->
+          match (kernel ~add ~mul, scalar add, scalar mul) with
+          | None, _, _ -> true
+          | Some _, None, _ | Some _, _, None ->
+              QCheck2.Test.fail_report "kernel for an operator without a \
+                                        scalar form"
+          | Some k, Some fadd, Some fmul ->
+              let a' = Array.copy a and b' = Array.copy b in
+              let ck = Array.copy c and cg = Array.copy c in
+              k ~bs a' b' ck;
+              Skeletons.generic_block ~add:fadd ~mul:fmul ~bs a b cg;
+              same ck cg && same a a' && same b b')
+        ops)
+    ops
+
+let float_bits x = Array.map Int64.bits_of_float x
+
+let prop_int_kernels =
+  kernels_match ~kernel:Binop.int_block
+    ~scalar:(fun op -> Some (Binop.int op))
+    ~same:( = )
+
+let prop_float_kernels =
+  kernels_match ~kernel:Binop.float_block ~scalar:Binop.float
+    ~same:(fun x y -> float_bits x = float_bits y)
+
+let qk name gen print prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name ~print gen prop)
+
 let suite =
   [
     ( "specialize",
       [
         qt "random monomorphic programs: ast = spec = no-spec" gen_program
           prop_specialisation_unobservable;
+        qk "int block kernels = generic_block" (gen_blocks int_elem)
+          (print_blocks string_of_int) prop_int_kernels;
+        qk "float block kernels = generic_block, bit for bit"
+          (gen_blocks float_elem) (print_blocks Printf.(sprintf "%h"))
+          prop_float_kernels;
       ] );
   ]
